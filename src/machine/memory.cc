@@ -11,7 +11,7 @@ namespace mintcb::machine
 {
 
 PhysicalMemory::PhysicalMemory(std::uint64_t pages)
-    : pages_(pages), data_(pages * pageSize, 0)
+    : pages_(pages), frames_(pages)
 {
 }
 
@@ -26,8 +26,18 @@ PhysicalMemory::read(PhysAddr addr, std::uint64_t len) const
 {
     if (!contains(addr, len))
         return Error(Errc::invalidArgument, "physical read out of range");
-    return Bytes(data_.begin() + static_cast<std::ptrdiff_t>(addr),
-                 data_.begin() + static_cast<std::ptrdiff_t>(addr + len));
+    Bytes out(len, 0);
+    for (std::uint64_t done = 0; done < len;) {
+        const PhysAddr at = addr + done;
+        const std::uint64_t offset = at % pageSize;
+        const std::uint64_t n = std::min(len - done, pageSize - offset);
+        if (const Frame *frame = frames_[pageOf(at)].get()) {
+            std::copy_n(frame->begin() + offset, n,
+                        out.begin() + static_cast<std::ptrdiff_t>(done));
+        }
+        done += n;
+    }
+    return out;
 }
 
 Status
@@ -35,8 +45,20 @@ PhysicalMemory::write(PhysAddr addr, const Bytes &data)
 {
     if (!contains(addr, data.size()))
         return Error(Errc::invalidArgument, "physical write out of range");
-    std::copy(data.begin(), data.end(),
-              data_.begin() + static_cast<std::ptrdiff_t>(addr));
+    for (std::uint64_t done = 0; done < data.size();) {
+        const PhysAddr at = addr + done;
+        const std::uint64_t offset = at % pageSize;
+        const std::uint64_t n =
+            std::min<std::uint64_t>(data.size() - done, pageSize - offset);
+        std::unique_ptr<Frame> &frame = frames_[pageOf(at)];
+        if (!frame) {
+            frame = std::make_unique<Frame>(); // value-initialised: zeros
+            ++resident_;
+        }
+        std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(done), n,
+                    frame->begin() + offset);
+        done += n;
+    }
     return okStatus();
 }
 
@@ -45,9 +67,10 @@ PhysicalMemory::zeroPage(PageNum page)
 {
     if (page >= pages_)
         return Error(Errc::invalidArgument, "page out of range");
-    std::fill_n(data_.begin() +
-                    static_cast<std::ptrdiff_t>(page * pageSize),
-                pageSize, 0);
+    if (frames_[page]) {
+        frames_[page].reset();
+        --resident_;
+    }
     return okStatus();
 }
 

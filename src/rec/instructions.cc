@@ -277,9 +277,12 @@ SecureExecutive::skill(Secb &secb)
     if (auto s = checkTransition(secb.state, PalState::done); !s.ok())
         return s;
 
-    // Hardware erases every page before anything else can see it.
-    for (PageNum p : secb.pages)
-        machine_.memory().zeroPage(p);
+    // Hardware erases every page before anything else can see it; a
+    // page it cannot erase is never released.
+    for (PageNum p : secb.pages) {
+        if (auto s = machine_.memory().zeroPage(p); !s.ok())
+            return s;
+    }
     if (auto s = machine_.memctrl().aclRelease(secb.pages); !s.ok())
         return s;
 

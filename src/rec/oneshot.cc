@@ -40,8 +40,10 @@ runOneShot(SecureExecutive &exec, const std::string &name,
     auto output = body(hooks);
 
     // The PAL erases its memory before exiting regardless of outcome.
-    for (PageNum p : secb->pages)
-        m.memory().zeroPage(p);
+    for (PageNum p : secb->pages) {
+        if (auto s = m.memory().zeroPage(p); !s.ok())
+            return s.error();
+    }
 
     if (!output) {
         // Abnormal completion: yield then let the OS SKILL it.

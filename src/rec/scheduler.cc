@@ -239,8 +239,10 @@ OsScheduler::runAll()
             Status finish = okStatus();
             if (task->program.onFinish)
                 finish = task->program.onFinish(hooks);
-            for (PageNum p : task->secb.pages)
-                m.memory().zeroPage(p);
+            for (PageNum p : task->secb.pages) {
+                if (auto s = m.memory().zeroPage(p); !s.ok())
+                    return s.error();
+            }
             if (auto s = exec_.sfree(task->secb, /*from_pal=*/true);
                 !s.ok()) {
                 return s.error();

@@ -120,8 +120,10 @@ SeaDriver::run(const PalRequest &request, CpuId cpu)
     }
     //    Then erase the PAL region (its secrets die with it), drop the
     //    DEV protections, restart the siblings, resume the OS.
-    for (PageNum p : launch->protectedPages)
-        machine_.memory().zeroPage(p);
+    for (PageNum p : launch->protectedPages) {
+        if (auto s = machine_.memory().zeroPage(p); !s.ok())
+            return s.error();
+    }
     launcher_.releaseProtections(*launch);
     core.secureStateClear(machine_.spec().microarchFlush);
     core.setInterruptsEnabled(true);

@@ -181,8 +181,10 @@ World::skill(Pal &pal)
         !s.ok()) {
         return s;
     }
-    for (PageNum p : pal.pages)
-        mem_.zeroPage(p);
+    for (PageNum p : pal.pages) {
+        if (auto s = mem_.zeroPage(p); !s.ok())
+            return s;
+    }
     if (auto s = ctrl_.aclRelease(pal.pages); !s.ok())
         return s;
     if (pal.sePcr) {

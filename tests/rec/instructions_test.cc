@@ -206,6 +206,51 @@ TEST_F(InstructionsTest, SkillErasesSecretsBeforeReleasingPages)
     EXPECT_EQ(*leaked, Bytes(11, 0x00));
 }
 
+TEST_F(InstructionsTest, SkillLeavesNoStoredPage)
+{
+    ASSERT_EQ(machine_.memory().residentPages(), 0u);
+    Secb secb = makeSecb("killed-sparse");
+    ASSERT_TRUE(exec_.slaunch(1, secb).ok());
+    ASSERT_TRUE(machine_.writeAs(1, pageBase(secb.pages.back()),
+                                 asciiBytes("private key")).ok());
+    ASSERT_TRUE(exec_.syield(secb).ok());
+    ASSERT_GT(machine_.memory().residentPages(), 0u);
+
+    ASSERT_TRUE(exec_.skill(secb).ok());
+    for (PageNum p : secb.pages) {
+        auto page = machine_.nic().dmaRead(pageBase(p), pageSize);
+        ASSERT_TRUE(page.ok());
+        EXPECT_EQ(*page, Bytes(pageSize, 0x00)) << "page " << p;
+    }
+    EXPECT_EQ(machine_.memory().residentPages(), 0u);
+}
+
+TEST_F(InstructionsTest, SkillFailsClosedWhenAPageCannotBeErased)
+{
+    Secb secb = makeSecb("unerasable");
+    ASSERT_TRUE(exec_.slaunch(1, secb).ok());
+    const PhysAddr secret_addr = pageBase(secb.pages.back());
+    ASSERT_TRUE(machine_.writeAs(1, secret_addr,
+                                 asciiBytes("private key")).ok());
+    ASSERT_TRUE(exec_.syield(secb).ok());
+    const std::vector<PageNum> real_pages = secb.pages;
+    const SePcrHandle h = *secb.sePcr;
+
+    // A corrupted SECB naming a page past the end of RAM.
+    secb.pages.push_back(machine_.memory().pages());
+    auto s = exec_.skill(secb);
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.error().code, Errc::invalidArgument);
+
+    // Nothing was released: the real pages stay hidden from every
+    // agent, and the PAL keeps its state and its sePCR binding.
+    EXPECT_EQ(secb.state, PalState::suspend);
+    EXPECT_EQ(exec_.sePcrs().state(h), SePcrState::exclusive);
+    for (PageNum p : real_pages)
+        EXPECT_EQ(machine_.memctrl().pageState(p), PageState::none);
+    EXPECT_FALSE(machine_.nic().dmaRead(secret_addr, 11).ok());
+}
+
 TEST_F(InstructionsTest, SkillRequiresSuspendedPal)
 {
     Secb secb = makeSecb("running");

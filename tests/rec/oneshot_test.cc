@@ -44,6 +44,33 @@ TEST_F(OneShotTest, RunsAndReturnsOutput)
     EXPECT_TRUE(report->quoted);
 }
 
+TEST_F(OneShotTest, SfreeLeavesNoStoredPage)
+{
+    ASSERT_EQ(machine_.memory().residentPages(), 0u);
+    std::vector<PageNum> pages;
+    auto report = runOneShot(
+        exec_, "oneshot-sparse", [&](PalHooks &hooks) -> Result<Bytes> {
+            pages = hooks.secb().pages;
+            if (auto s = machine_.writeAs(hooks.cpu(),
+                                          pageBase(pages.back()),
+                                          asciiBytes("scratch secret"));
+                !s.ok()) {
+                return s.error();
+            }
+            return Bytes{};
+        });
+    ASSERT_TRUE(report.ok());
+    ASSERT_FALSE(pages.empty());
+
+    // The PAL's own erase before SFREE dropped every page's storage.
+    for (PageNum p : pages) {
+        auto page = machine_.nic().dmaRead(pageBase(p), pageSize);
+        ASSERT_TRUE(page.ok());
+        EXPECT_EQ(*page, Bytes(pageSize, 0x00)) << "page " << p;
+    }
+    EXPECT_EQ(machine_.memory().residentPages(), 0u);
+}
+
 TEST_F(OneShotTest, QuoteVerifiesAgainstTheNamedIdentity)
 {
     auto report = runOneShot(exec_, "oneshot-attested",
