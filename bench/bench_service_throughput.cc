@@ -50,35 +50,10 @@ constexpr Duration shardedCompute = Duration::millis(10);
 unsigned maxWorkers = 8;
 
 /** --check: run every runWorkload() campaign under the happens-before
- *  race detector and the temporal trace checker; any finding aborts the
- *  bench with a nonzero exit. */
+ *  race detector and the temporal trace checker; any finding, or no
+ *  checked campaign at all, ends the bench with a nonzero exit. */
 bool checkMode = false;
 std::uint64_t checkedRuns = 0;
-
-/** The executive holds one observer slot; under --check both the race
- *  detector and the trace recorder need the sync stream. */
-struct SyncFanout final : rec::ExecSyncObserver
-{
-    rec::ExecSyncObserver *a;
-    rec::ExecSyncObserver *b;
-    SyncFanout(rec::ExecSyncObserver *a_, rec::ExecSyncObserver *b_)
-        : a(a_), b(b_)
-    {
-    }
-    void
-    onPalEvent(rec::ExecEvent event, CpuId cpu,
-               const rec::Secb &secb) override
-    {
-        a->onPalEvent(event, cpu, secb);
-        b->onPalEvent(event, cpu, secb);
-    }
-    void
-    onBarrier() override
-    {
-        a->onBarrier();
-        b->onBarrier();
-    }
-};
 
 void
 failCheck(const std::string &what)
@@ -127,14 +102,12 @@ runWorkload(std::uint32_t pal_cores, bool audit, std::uint64_t seed = 0)
     verify::ExecutionTrace trace;
     std::optional<verify::TraceRecorder> recorder;
     std::optional<verify::HbRaceDetector> detector;
-    std::optional<SyncFanout> fanout;
     if (checkMode) {
         recorder.emplace(trace);
         recorder->attach(svc);
         detector.emplace(m.cpuCount());
         detector->attach(m.memctrl());
-        fanout.emplace(&*detector, &*recorder);
-        svc.executive().setSyncObserver(&*fanout);
+        detector->attach(svc.executive());
     }
 
     for (int i = 0; i < workloadPals; ++i) {
@@ -144,10 +117,8 @@ runWorkload(std::uint32_t pal_cores, bool audit, std::uint64_t seed = 0)
     }
     if (!svc.drain().ok())
         std::abort();
-    if (checkMode) {
-        svc.executive().setSyncObserver(nullptr);
+    if (checkMode)
         verifyRun(*detector, trace, svc.metrics());
-    }
     return svc.metrics();
 }
 
@@ -365,7 +336,7 @@ struct ShardedRun
         : machine(Machine::forPlatform(PlatformId::recServer, 42)),
           svc(machine, configFor(workers))
     {
-        svc.setObserver(&shards);
+        svc.observers().add(&shards);
     }
 
     static sea::ServiceConfig
@@ -712,6 +683,8 @@ main(int argc, char **argv)
                              " instrumented campaigns race-free and "
                              "temporally clean",
                          checkedRuns > 0);
+        if (checkedRuns == 0)
+            failCheck("no instrumented campaign ran");
     }
     return benchutil::writeJsonArtifact() ? 0 : 1;
 }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/observers.hh"
 #include "common/simtime.hh"
 
 namespace mintcb::machine
@@ -66,13 +67,11 @@ class LpcBus
         const TimePoint start = clock.now();
         const Duration cost = transferTime(bytes);
         clock.advance(cost);
-        if (observer_)
-            observer_->onTransfer(bytes, start, cost);
+        observers_.notify(&LpcObserver::onTransfer, bytes, start, cost);
     }
 
-    /** Attach (or with nullptr detach) the transfer observer. */
-    void setObserver(LpcObserver *obs) { observer_ = obs; }
-    LpcObserver *observer() const { return observer_; }
+    /** Observers of every transfer. */
+    ObserverList<LpcObserver> &observers() { return observers_; }
 
     /** Cumulative bytes moved (test observability). */
     std::uint64_t bytesMoved() const { return bytesMoved_; }
@@ -88,7 +87,7 @@ class LpcBus
   private:
     Duration perByte_;
     std::uint64_t bytesMoved_ = 0;
-    LpcObserver *observer_ = nullptr;
+    ObserverList<LpcObserver> observers_;
 };
 
 } // namespace mintcb::machine

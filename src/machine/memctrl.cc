@@ -66,29 +66,6 @@ MemoryController::check(Agent agent, PageNum page) const
 }
 
 void
-MemoryController::addAccessObserver(MemAccessObserver *obs)
-{
-    if (obs == nullptr || hasAccessObserver(obs))
-        return;
-    observers_.push_back(obs);
-}
-
-void
-MemoryController::removeAccessObserver(MemAccessObserver *obs)
-{
-    observers_.erase(
-        std::remove(observers_.begin(), observers_.end(), obs),
-        observers_.end());
-}
-
-bool
-MemoryController::hasAccessObserver(const MemAccessObserver *obs) const
-{
-    return std::find(observers_.begin(), observers_.end(), obs) !=
-           observers_.end();
-}
-
-void
 MemoryController::notifyAccess(const Agent &agent, PageNum page,
                                PhysAddr addr, std::uint64_t len,
                                bool isWrite, bool granted) const
@@ -104,8 +81,8 @@ MemoryController::notifyAccess(const Agent &agent, PageNum page,
     const auto offset = static_cast<std::uint32_t>(start - base);
     const auto chunk = static_cast<std::uint32_t>(
         end > start ? end - start : 0);
-    for (MemAccessObserver *obs : observers_)
-        obs->onAccess(agent, page, offset, chunk, isWrite, granted);
+    observers_.notify(&MemAccessObserver::onAccess, agent, page, offset,
+                      chunk, isWrite, granted);
 }
 
 Result<Bytes>

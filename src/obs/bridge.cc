@@ -14,8 +14,8 @@ namespace mintcb::obs
 namespace
 {
 
-/** Event time: recorded sim-time when present (v2), else a synthetic
- *  1 us-per-event ramp so v1 traces still order correctly. */
+/** Event time: recorded sim-time when present, else a synthetic
+ *  1 us-per-event ramp so untimed events still order correctly. */
 TimePoint
 eventTime(const verify::TraceEvent &e)
 {

@@ -5,8 +5,8 @@
  * One recorded run can now feed both offline consumers without
  * re-executing: mintcb-lint checks its temporal properties, and
  * mintcb-trace renders it as spans (--top attribution or Chrome JSON).
- * Trace format v2 carries per-event simulated time, which maps
- * directly onto span begin/end instants; v1 traces carry none, so the
+ * Recorded events carry simulated time, which maps directly onto span
+ * begin/end instants; for an event without one (a synthetic trace) the
  * bridge falls back to one microsecond per sequence number -- ordering
  * is preserved, durations are synthetic.
  */

@@ -69,7 +69,7 @@ class TelemetrySession final : public rec::ExecSyncObserver,
     /** Executive-only attachment (workloads without a service). */
     void attachExecutive(rec::SecureExecutive &exec);
 
-    /** Unhook every observer slot this session occupies and close any
+    /** Leave every observer list this session joined and close any
      *  spans still open. Idempotent. */
     void detach();
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 
+#include "common/observers.hh"
 #include "common/result.hh"
 #include "machine/machine.hh"
 #include "rec/secb.hh"
@@ -160,25 +161,18 @@ class SecureExecutive
     /** @} */
 
     /** @name Verification hooks. @{ */
-    /** Attach (or with nullptr detach) the sync-point observer. */
-    void setSyncObserver(ExecSyncObserver *obs) { observer_ = obs; }
-    ExecSyncObserver *syncObserver() const { return observer_; }
+    /** Observers of the synchronization points. */
+    ObserverList<ExecSyncObserver> &syncObservers() { return observers_; }
     /** Schedulers report their round barriers through the executive so
-     *  an attached observer sees every synchronization edge. */
-    void
-    notifyBarrier()
-    {
-        if (observer_)
-            observer_->onBarrier();
-    }
+     *  every attached observer sees every synchronization edge. */
+    void notifyBarrier() { observers_.notify(&ExecSyncObserver::onBarrier); }
     /** @} */
 
   private:
     void
     notify(ExecEvent event, CpuId cpu, const Secb &secb)
     {
-        if (observer_)
-            observer_->onPalEvent(event, cpu, secb);
+        observers_.notify(&ExecSyncObserver::onPalEvent, event, cpu, secb);
     }
 
     machine::Machine &machine_;
@@ -187,7 +181,7 @@ class SecureExecutive
     Duration contextSwitchTime_;
     std::uint64_t palInterrupts_ = 0;
     std::vector<Secb *> runningOnCpu_; //!< indexed by CpuId, may be null
-    ExecSyncObserver *observer_ = nullptr;
+    ObserverList<ExecSyncObserver> observers_;
 };
 
 } // namespace mintcb::rec

@@ -156,8 +156,7 @@ ExecutionService::submit(PalRequest request)
             std::max(metrics_.maxQueueDepth, queue_.size());
     }
     // Notify outside the lock: the observer may reenter submit().
-    if (observer_)
-        observer_->onSubmit(id, pal_name);
+    observers_.notify(&ServiceObserver::onSubmit, id, pal_name);
     return id;
 }
 
@@ -182,8 +181,7 @@ ExecutionService::drain()
     // callback lands in the (now empty) queue for the next drain
     // instead of deadlocking on the lock or re-entering this batch.
     ++metrics_.drains;
-    if (observer_)
-        observer_->onDrainBegin(batch.size());
+    observers_.notify(&ServiceObserver::onDrainBegin, batch.size());
     if (config_.workers > 0)
         return drainSharded(std::move(batch));
     return drainInline(std::move(batch));
@@ -347,40 +345,21 @@ ExecutionService::drainInline(std::vector<Pending> batch)
     if (!outcome)
         return outcome.error();
 
-    for (const ExecutionReport &r : outcome->reports) {
-        ++metrics_.completed;
-        if (!r.status.ok())
-            ++metrics_.failed;
-        if (!r.deadlineMet)
-            ++metrics_.deadlinesMissed;
-        metrics_.queueWait.add(r.queueWait);
-        metrics_.turnaround.add(r.total);
-        metrics_.compute.add(r.phases.compute);
-        metrics_.launches += r.launches;
-        metrics_.yields += r.yields;
-        if (observer_)
-            observer_->onRequestDone(r);
-    }
-    metrics_.preemptions += outcome->preemptions;
-    metrics_.slaunchRetries += outcome->slaunchRetries;
-    metrics_.legacyWorkUnits += outcome->legacyWorkUnits;
-    metrics_.backendRouted += outcome->backendRouted;
-
+    // Unlike the sharded replay, the observers see the transport
+    // milestones live, after onRequestDone and at mid-flush time.
+    commitReports(outcome->reports);
+    AuditOutcome audit;
     if (config_.auditTrail) {
-        AuditOutcome audit;
-        if (auto s = flushAudit(refs, outcome->reports, audit, observer_);
+        if (auto s = flushAudit(refs, outcome->reports, audit, true);
             !s.ok()) {
             return s.error();
         }
-        metrics_.auditCommands += audit.commands;
-        metrics_.auditExchanges += audit.exchanges;
-        metrics_.sessionsAccepted += audit.opened;
-        metrics_.sessionsResumed += audit.resumed;
     }
+    addRunTotals(*outcome, audit);
 
     metrics_.busy += machine_.now() - drain_start;
-    if (observer_)
-        observer_->onDrainEnd(outcome->reports.size());
+    observers_.notify(&ServiceObserver::onDrainEnd,
+                      outcome->reports.size());
     return std::move(outcome->reports);
 }
 
@@ -392,10 +371,8 @@ ExecutionService::ensureShard(std::uint32_t shard)
     if (!shards_[shard]) {
         shards_[shard] = std::make_unique<Shard>(
             shard, machine_.spec(), machine_.seed(), config_.sePcrs);
-        if (observer_) {
-            observer_->onShardCreated(shard, *shards_[shard]->machine,
-                                      shards_[shard]->exec);
-        }
+        observers_.notify(&ServiceObserver::onShardCreated, shard,
+                          *shards_[shard]->machine, shards_[shard]->exec);
     }
     return *shards_[shard];
 }
@@ -446,8 +423,8 @@ ExecutionService::drainSharded(std::vector<Pending> batch)
         pool_->submit(
             [this, &run, epoch] {
                 Shard &shard = *run.shard;
-                if (observer_)
-                    observer_->onShardBegin(shard.id, run.batch.size());
+                observers_.notify(&ServiceObserver::onShardBegin, shard.id,
+                                  run.batch.size());
                 // Reconcile the shard onto the service timeline: every
                 // campaign in this drain starts at the same epoch.
                 shard.machine->alignTo(epoch);
@@ -461,14 +438,12 @@ ExecutionService::drainSharded(std::vector<Pending> batch)
                     run.out = outcome.take();
                     if (config_.auditTrail) {
                         run.status = flushAudit(refs, run.out.reports,
-                                                run.audit, nullptr);
+                                                run.audit, false);
                     }
                 }
                 run.elapsed = shard.machine->now() - epoch;
-                if (observer_) {
-                    observer_->onShardEnd(shard.id,
-                                          run.out.reports.size());
-                }
+                observers_.notify(&ServiceObserver::onShardEnd, shard.id,
+                                  run.out.reports.size());
             },
             run.shard->id % pool_->workers());
     }
@@ -492,6 +467,35 @@ ExecutionService::drainSharded(std::vector<Pending> batch)
                   return a.requestId < b.requestId;
               });
 
+    commitReports(reports);
+
+    Duration max_elapsed;
+    for (const Run &run : runs) {
+        addRunTotals(run.out, run.audit);
+        ++metrics_.shardDrains;
+        // Transport milestones were recorded on the worker thread;
+        // replay them here in deterministic shard order.
+        for (const Milestone &m : run.audit.milestones)
+            announce(m);
+        observers_.notify(&ServiceObserver::onShardCommit, run.shard->id,
+                          run.out.reports.size(), epoch,
+                          epoch + run.elapsed);
+        max_elapsed = std::max(max_elapsed, run.elapsed);
+    }
+
+    // The campaign's simulated cost is the slowest shard -- the shards
+    // ran in parallel in virtual time too. Charge it to the service
+    // CPU so the front machine's clock reflects the drain.
+    machine_.cpu(config_.serviceCpu).advance(max_elapsed);
+    metrics_.busy += max_elapsed;
+    metrics_.steals = pool_->stats().steals;
+    observers_.notify(&ServiceObserver::onDrainEnd, reports.size());
+    return reports;
+}
+
+void
+ExecutionService::commitReports(const std::vector<ExecutionReport> &reports)
+{
     for (const ExecutionReport &r : reports) {
         ++metrics_.completed;
         if (!r.status.ok())
@@ -503,54 +507,22 @@ ExecutionService::drainSharded(std::vector<Pending> batch)
         metrics_.compute.add(r.phases.compute);
         metrics_.launches += r.launches;
         metrics_.yields += r.yields;
-        if (observer_)
-            observer_->onRequestDone(r);
+        observers_.notify(&ServiceObserver::onRequestDone, r);
     }
+}
 
-    Duration max_elapsed;
-    for (const Run &run : runs) {
-        metrics_.preemptions += run.out.preemptions;
-        metrics_.slaunchRetries += run.out.slaunchRetries;
-        metrics_.legacyWorkUnits += run.out.legacyWorkUnits;
-        metrics_.backendRouted += run.out.backendRouted;
-        metrics_.auditCommands += run.audit.commands;
-        metrics_.auditExchanges += run.audit.exchanges;
-        metrics_.sessionsAccepted += run.audit.opened;
-        metrics_.sessionsResumed += run.audit.resumed;
-        ++metrics_.shardDrains;
-        if (observer_) {
-            // Transport milestones were recorded on the worker thread;
-            // replay them here in deterministic shard order.
-            for (const Milestone &m : run.audit.milestones) {
-                switch (m.kind) {
-                  case Milestone::Kind::sessionOpened:
-                    observer_->onSessionOpened();
-                    break;
-                  case Milestone::Kind::sessionResumed:
-                    observer_->onSessionResumed(m.value);
-                    break;
-                  case Milestone::Kind::auditExchange:
-                    observer_->onAuditExchange(
-                        static_cast<std::size_t>(m.value));
-                    break;
-                }
-            }
-            observer_->onShardCommit(run.shard->id,
-                                     run.out.reports.size(), epoch,
-                                     epoch + run.elapsed);
-        }
-        max_elapsed = std::max(max_elapsed, run.elapsed);
-    }
-
-    // The campaign's simulated cost is the slowest shard -- the shards
-    // ran in parallel in virtual time too. Charge it to the service
-    // CPU so the front machine's clock reflects the drain.
-    machine_.cpu(config_.serviceCpu).advance(max_elapsed);
-    metrics_.busy += max_elapsed;
-    metrics_.steals = pool_->stats().steals;
-    if (observer_)
-        observer_->onDrainEnd(reports.size());
-    return reports;
+void
+ExecutionService::addRunTotals(const BatchOutcome &out,
+                               const AuditOutcome &audit)
+{
+    metrics_.preemptions += out.preemptions;
+    metrics_.slaunchRetries += out.slaunchRetries;
+    metrics_.legacyWorkUnits += out.legacyWorkUnits;
+    metrics_.backendRouted += out.backendRouted;
+    metrics_.auditCommands += audit.commands;
+    metrics_.auditExchanges += audit.exchanges;
+    metrics_.sessionsAccepted += audit.opened;
+    metrics_.sessionsResumed += audit.resumed;
 }
 
 Result<ExecutionReport>
@@ -569,7 +541,7 @@ ExecutionService::runOne(PalRequest request)
 
 Result<tpm::TransportClient>
 ExecutionService::attachSession(const EngineRefs &refs, AuditOutcome &out,
-                                ServiceObserver *live)
+                                bool live)
 {
     // The session key must not be computable by the on-path bus
     // adversary, so it comes from the machine's seeded RNG (still
@@ -585,10 +557,7 @@ ExecutionService::attachSession(const EngineRefs &refs, AuditOutcome &out,
         if (!epoch)
             return epoch.error();
         ++out.resumed;
-        out.milestones.push_back(
-            {Milestone::Kind::sessionResumed, *epoch});
-        if (live)
-            live->onSessionResumed(*epoch);
+        record(out, {Milestone::Kind::sessionResumed, *epoch}, live);
         return tpm::TransportClient::resume(refs.sessionKey, *epoch);
     }
     auto opened = tpm::TransportClient::openWithKey(
@@ -601,16 +570,14 @@ ExecutionService::attachSession(const EngineRefs &refs, AuditOutcome &out,
         return s.error();
     refs.sessionLive = true;
     ++out.opened;
-    out.milestones.push_back({Milestone::Kind::sessionOpened, 0});
-    if (live)
-        live->onSessionOpened();
+    record(out, {Milestone::Kind::sessionOpened, 0}, live);
     return std::move(opened->client);
 }
 
 Status
 ExecutionService::flushAudit(const EngineRefs &refs,
                              const std::vector<ExecutionReport> &reports,
-                             AuditOutcome &out, ServiceObserver *live)
+                             AuditOutcome &out, bool live)
 {
     if (reports.empty())
         return okStatus();
@@ -644,10 +611,8 @@ ExecutionService::flushAudit(const EngineRefs &refs,
         }
         ++out.exchanges;
         out.commands += commands.size();
-        out.milestones.push_back(
-            {Milestone::Kind::auditExchange, commands.size()});
-        if (live)
-            live->onAuditExchange(commands.size());
+        record(out, {Milestone::Kind::auditExchange, commands.size()},
+               live);
     } else {
         for (const tpm::TransportCommand &c : commands) {
             refs.machine.cpu(config_.serviceCpu).advance(busExchangeCost);
@@ -661,13 +626,35 @@ ExecutionService::flushAudit(const EngineRefs &refs,
             }
             ++out.exchanges;
             ++out.commands;
-            out.milestones.push_back(
-                {Milestone::Kind::auditExchange, 1});
-            if (live)
-                live->onAuditExchange(1);
+            record(out, {Milestone::Kind::auditExchange, 1}, live);
         }
     }
     return okStatus();
+}
+
+void
+ExecutionService::record(AuditOutcome &out, const Milestone &m, bool live)
+{
+    out.milestones.push_back(m);
+    if (live)
+        announce(m);
+}
+
+void
+ExecutionService::announce(const Milestone &m)
+{
+    switch (m.kind) {
+      case Milestone::Kind::sessionOpened:
+        observers_.notify(&ServiceObserver::onSessionOpened);
+        break;
+      case Milestone::Kind::sessionResumed:
+        observers_.notify(&ServiceObserver::onSessionResumed, m.value);
+        break;
+      case Milestone::Kind::auditExchange:
+        observers_.notify(&ServiceObserver::onAuditExchange,
+                          static_cast<std::size_t>(m.value));
+        break;
+    }
 }
 
 std::string

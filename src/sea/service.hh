@@ -48,6 +48,7 @@
 #include <string>
 #include <vector>
 
+#include "common/observers.hh"
 #include "common/result.hh"
 #include "common/stats.hh"
 #include "rec/scheduler.hh"
@@ -319,9 +320,12 @@ class ExecutionService
     const ServiceMetrics &metrics() const { return metrics_; }
     rec::SecureExecutive &executive() { return exec_; }
 
-    /** Attach (or with nullptr detach) the milestone observer. */
-    void setObserver(ServiceObserver *obs) { observer_ = obs; }
-    ServiceObserver *observer() const { return observer_; }
+    /** Observers of the scheduling and transport milestones. */
+    ObserverList<ServiceObserver> &observers() { return observers_; }
+    /** Same as observers().add(@p obs). Kept only for the host-time
+     *  benchmark under perfbench/, which calls it with a non-null
+     *  observer; new code uses observers(). */
+    void setObserver(ServiceObserver *obs) { observers_.add(obs); }
 
     /** Modeled client-side cost per transport exchange (wrap + MAC +
      *  LPC bus round trip) -- what pipelining amortizes. */
@@ -354,7 +358,7 @@ class ExecutionService
         TimePoint submittedAt;
     };
 
-    /** One recorded transport milestone, replayed to the observer in
+    /** One recorded transport milestone, replayed to the observers in
      *  deterministic shard order by the merge sequencer. */
     struct Milestone
     {
@@ -408,15 +412,26 @@ class ExecutionService
                                   const std::vector<Pending> &batch,
                                   std::uint32_t shard_id);
     /** Open or resume @p refs' transport session; milestones and
-     *  session counters land in @p out (and @p live, when set). */
+     *  session counters land in @p out, and with @p live the observers
+     *  see each milestone as it happens (inline drains only). */
     Result<tpm::TransportClient> attachSession(const EngineRefs &refs,
                                                AuditOutcome &out,
-                                               ServiceObserver *live);
+                                               bool live);
     /** Extend a digest of every report into the audit PCR, batched or
      *  one-by-one. */
     Status flushAudit(const EngineRefs &refs,
                       const std::vector<ExecutionReport> &reports,
-                      AuditOutcome &out, ServiceObserver *live);
+                      AuditOutcome &out, bool live);
+    /** Add @p m to @p out; with @p live, also announce it now. */
+    void record(AuditOutcome &out, const Milestone &m, bool live);
+    /** Hand one transport milestone to the observers. */
+    void announce(const Milestone &m);
+    /** Count each of @p reports in the metrics and hand it to the
+     *  observers, in order. */
+    void commitReports(const std::vector<ExecutionReport> &reports);
+    /** Add one engine run's scheduling and transport deltas to the
+     *  metrics. */
+    void addRunTotals(const BatchOutcome &out, const AuditOutcome &audit);
 
     Result<std::vector<ExecutionReport>>
     drainInline(std::vector<Pending> batch);
@@ -437,7 +452,7 @@ class ExecutionService
     std::vector<std::unique_ptr<Shard>> shards_; //!< lazily built
     std::unique_ptr<WorkerPool> pool_;           //!< lazily started
     ServiceMetrics metrics_;
-    ServiceObserver *observer_ = nullptr;
+    ObserverList<ServiceObserver> observers_;
 };
 
 } // namespace mintcb::sea

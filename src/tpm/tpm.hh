@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/observers.hh"
 #include "common/result.hh"
 #include "common/rng.hh"
 #include "common/simtime.hh"
@@ -235,9 +236,12 @@ class Tpm
     /** Command counters (gem5-style observability). */
     const TpmStats &stats() const { return stats_; }
 
-    /** Attach (or with nullptr detach) the command observer. */
-    void setCommandObserver(TpmCommandObserver *obs) { observer_ = obs; }
-    TpmCommandObserver *commandObserver() const { return observer_; }
+    /** Observers of every charged command. */
+    ObserverList<TpmCommandObserver> &commandObservers() { return observers_; }
+    /** Same as commandObservers().add(@p obs). Kept only for the
+     *  host-time benchmark under perfbench/, which calls it with a
+     *  non-null observer; new code uses commandObservers(). */
+    void setCommandObserver(TpmCommandObserver *obs) { observers_.add(obs); }
 
   private:
     Status requireHardware(Locality locality, const char *op) const;
@@ -272,7 +276,7 @@ class Tpm
     };
     std::vector<NvSpace> nvSpaces_; //!< persists across reboot()
     mutable TpmStats stats_;
-    TpmCommandObserver *observer_ = nullptr;
+    ObserverList<TpmCommandObserver> observers_;
 };
 
 } // namespace mintcb::tpm

@@ -13,8 +13,7 @@ namespace mintcb::verify
 namespace
 {
 
-constexpr std::uint32_t traceMagicV1 = 0x4d544c31; // "MTL1": no times
-constexpr std::uint32_t traceMagicV2 = 0x4d544c32; // "MTL2": + sim-time
+constexpr std::uint32_t traceMagic = 0x4d544c32; // "MTL2": + sim-time
 constexpr std::uint8_t kindMin = 1;
 constexpr std::uint8_t kindMax =
     static_cast<std::uint8_t>(TraceEventKind::transportExchange);
@@ -73,7 +72,7 @@ Bytes
 ExecutionTrace::encode() const
 {
     ByteWriter w;
-    w.u32(traceMagicV2);
+    w.u32(traceMagic);
     w.u32(static_cast<std::uint32_t>(events_.size()));
     for (const TraceEvent &e : events_) {
         w.u8(static_cast<std::uint8_t>(e.kind));
@@ -92,9 +91,8 @@ ExecutionTrace::decode(const Bytes &blob)
     auto magic = r.u32();
     if (!magic)
         return magic.error();
-    if (*magic != traceMagicV1 && *magic != traceMagicV2)
+    if (*magic != traceMagic)
         return Error(Errc::integrityFailure, "not a mintcb trace blob");
-    const bool timed = *magic == traceMagicV2;
     auto count = r.u32();
     if (!count)
         return count.error();
@@ -118,16 +116,13 @@ ExecutionTrace::decode(const Bytes &blob)
         auto arg = r.u64();
         if (!arg)
             return arg.error();
-        TimePoint at;
-        if (timed) {
-            auto ticks = r.u64();
-            if (!ticks)
-                return ticks.error();
-            at = TimePoint(
-                Duration::picos(static_cast<std::int64_t>(*ticks)));
-        }
+        auto ticks = r.u64();
+        if (!ticks)
+            return ticks.error();
         trace.append(static_cast<TraceEventKind>(*kind), *cpu,
-                     subject.take(), *arg, at);
+                     subject.take(), *arg,
+                     TimePoint(Duration::picos(
+                         static_cast<std::int64_t>(*ticks))));
     }
     if (!r.atEnd())
         return Error(Errc::integrityFailure, "trailing trace bytes");
@@ -146,24 +141,24 @@ ExecutionTrace::str() const
 
 TraceRecorder::~TraceRecorder()
 {
-    if (exec_ && exec_->syncObserver() == this)
-        exec_->setSyncObserver(nullptr);
-    if (service_ && service_->observer() == this)
-        service_->setObserver(nullptr);
+    if (exec_)
+        exec_->syncObservers().remove(this);
+    if (service_)
+        service_->observers().remove(this);
 }
 
 void
 TraceRecorder::attach(rec::SecureExecutive &exec)
 {
     exec_ = &exec;
-    exec.setSyncObserver(this);
+    exec.syncObservers().add(this);
 }
 
 void
 TraceRecorder::attach(sea::ExecutionService &service)
 {
     service_ = &service;
-    service.setObserver(this);
+    service.observers().add(this);
     attach(service.executive());
 }
 

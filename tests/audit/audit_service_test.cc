@@ -123,8 +123,11 @@ TEST(AuditService, ObserversNeverPerturbReportsAtAnyWorkerCount)
             sea::ExecutionService svc(m, config);
             ShardAdversaries watchers; // after svc: destroyed first
             if (observed) {
-                watchers.watch(m); // workers == 1 drains inline
-                svc.setObserver(&watchers);
+                // Every workers > 0 drain is sharded: the PALs run on
+                // the shard machines, which the adversaries join
+                // through onShardCreated, not on the front machine.
+                watchers.watch(m);
+                svc.observers().add(&watchers);
             }
             for (int i = 0; i < 6; ++i) {
                 sea::PalRequest req = zooRequest(
@@ -144,7 +147,7 @@ TEST(AuditService, ObserversNeverPerturbReportsAtAnyWorkerCount)
                     << name << " workers=" << workers
                     << ": adversaries attached but saw no traffic";
             }
-            svc.setObserver(nullptr);
+            svc.observers().remove(&watchers);
             return wires;
         };
 

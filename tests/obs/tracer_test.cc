@@ -1,8 +1,9 @@
 /**
  * @file
  * Span tracer tests: nesting and unwind semantics, ordering under real
- * multi-CPU scheduling, Chrome trace-event round-trip, and the
- * ExecutionTrace -> span bridge.
+ * multi-CPU scheduling, Chrome trace-event round-trip, the
+ * ExecutionTrace -> span bridge, and telemetry sharing one service
+ * with the race detector and the trace recorder.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "obs/span.hh"
 #include "obs/telemetry.hh"
 #include "sea/service.hh"
+#include "verify/race.hh"
 #include "verify/trace.hh"
 
 namespace mintcb::obs
@@ -158,6 +160,96 @@ tracedWorkload(SpanTracer &tracer, MetricsRegistry &metrics)
     EXPECT_TRUE(svc.drain().ok());
     telemetry.detach();
     return tracer.spans().size();
+}
+
+/** What each tap saw of one service run; a field stays empty when its
+ *  tap was not attached. */
+struct TapOutputs
+{
+    std::string spans;   //!< telemetry: Chrome export of the span log
+    std::string metrics; //!< telemetry: Prometheus rendering
+    Bytes trace;         //!< trace recorder: ExecutionTrace::encode()
+    std::uint64_t syncEvents = 0; //!< race detector
+    std::uint64_t accessesChecked = 0;
+    std::string races;
+};
+
+/** Two inline drains of a preempting multi-PAL workload (the second
+ *  resumes the transport session) with any subset of the telemetry
+ *  session, the race detector and the trace recorder attached to the
+ *  one service. */
+TapOutputs
+tappedWorkload(bool with_telemetry, bool with_detector, bool with_recorder)
+{
+    machine::Machine m =
+        machine::Machine::forPlatform(machine::PlatformId::recTestbed);
+    sea::ExecutionService svc(m);
+    SpanTracer tracer;
+    MetricsRegistry metrics;
+    TelemetrySession telemetry(m, tracer, metrics);
+    verify::HbRaceDetector detector(m.cpuCount());
+    verify::ExecutionTrace trace;
+    verify::TraceRecorder recorder(trace);
+    if (with_telemetry)
+        telemetry.attach(svc);
+    if (with_detector) {
+        detector.attach(m.memctrl());
+        detector.attach(svc.executive());
+    }
+    if (with_recorder)
+        recorder.attach(svc);
+
+    for (int drain = 0; drain < 2; ++drain) {
+        for (int i = 0; i < 4; ++i) {
+            sea::PalRequest req(sea::Pal::fromLogic(
+                "tap-pal-" + std::to_string(drain) + "-" +
+                    std::to_string(i),
+                4 * 1024, [](sea::PalContext &) { return okStatus(); }));
+            req.slicedCompute = Duration::millis(3);
+            req.wantQuote = i == 0;
+            EXPECT_TRUE(svc.submit(std::move(req)).ok());
+        }
+        EXPECT_TRUE(svc.drain().ok());
+    }
+
+    TapOutputs out;
+    if (with_telemetry) {
+        telemetry.detach();
+        out.spans = tracer.exportChromeTrace(telemetry.trackNames());
+        out.metrics = metrics.renderPrometheus();
+    }
+    if (with_detector) {
+        out.syncEvents = detector.syncEvents();
+        out.accessesChecked = detector.accessesChecked();
+        out.races = detector.str();
+    }
+    if (with_recorder)
+        out.trace = trace.encode();
+    return out;
+}
+
+TEST(Tracer, TelemetryDetectorAndRecorderShareOneService)
+{
+    // Regression: the executive and the service used to hold one
+    // observer each, so the last tap to attach silently detached the
+    // others. Attached together, each tap must see exactly what it
+    // sees alone.
+    const TapOutputs together = tappedWorkload(true, true, true);
+    const TapOutputs telemetry = tappedWorkload(true, false, false);
+    const TapOutputs detector = tappedWorkload(false, true, false);
+    const TapOutputs recorder = tappedWorkload(false, false, true);
+
+    EXPECT_FALSE(telemetry.spans.empty());
+    EXPECT_EQ(together.spans, telemetry.spans);
+    EXPECT_EQ(together.metrics, telemetry.metrics);
+
+    EXPECT_GT(detector.syncEvents, 0u);
+    EXPECT_EQ(together.syncEvents, detector.syncEvents);
+    EXPECT_EQ(together.accessesChecked, detector.accessesChecked);
+    EXPECT_EQ(together.races, detector.races);
+
+    EXPECT_FALSE(recorder.trace.empty());
+    EXPECT_EQ(together.trace, recorder.trace);
 }
 
 TEST(Tracer, MultiCpuSchedulingStaysWellNested)

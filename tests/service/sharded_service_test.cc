@@ -202,7 +202,7 @@ TEST(ShardedService, PerShardHappensBeforeDisciplineHolds)
     config.workers = 4;
     ExecutionService svc(m, config);
     ShardProbe probe;
-    svc.setObserver(&probe);
+    svc.observers().add(&probe);
 
     submitWorkload(svc, 12, "hb");
     ASSERT_TRUE(svc.drain().ok());

@@ -209,10 +209,10 @@ TEST(HbRaceDetector, DetachesOnDestruction)
     {
         HbRaceDetector det(m.cpuCount());
         det.attach(m.memctrl());
-        EXPECT_TRUE(m.memctrl().hasAccessObserver(&det));
-        EXPECT_EQ(m.memctrl().accessObserverCount(), 1u);
+        EXPECT_TRUE(m.memctrl().accessObservers().contains(&det));
+        EXPECT_EQ(m.memctrl().accessObservers().size(), 1u);
     }
-    EXPECT_EQ(m.memctrl().accessObserverCount(), 0u);
+    EXPECT_EQ(m.memctrl().accessObservers().size(), 0u);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytebuf.hh"
 #include "sea/service.hh"
 #include "verify/temporal.hh"
 #include "verify/trace.hh"
@@ -122,6 +123,22 @@ TEST(ExecutionTrace, DecodeRejectsCorruptBlobs)
     EXPECT_FALSE(ExecutionTrace::decode(trailing).ok());
 
     EXPECT_FALSE(ExecutionTrace::decode(Bytes{}).ok());
+}
+
+TEST(ExecutionTrace, DecodeRefusesRetiredV1Format)
+{
+    // "MTL1" blobs (no per-event times) are no longer written, so they
+    // are no longer read either: one well-formed v1 event is refused.
+    ByteWriter w;
+    w.u32(0x4d544c31); // "MTL1"
+    w.u32(1);
+    w.u8(static_cast<std::uint8_t>(TraceEventKind::barrier));
+    w.u32(0);
+    w.str("");
+    w.u64(0);
+    auto back = ExecutionTrace::decode(w.take());
+    ASSERT_FALSE(back.ok());
+    EXPECT_EQ(back.error().code, Errc::integrityFailure);
 }
 
 TEST(TemporalChecker, UnpairedSlaunchIsFlagged)
