@@ -29,9 +29,9 @@ namespace mintcb::backend
  *  every sibling core halted. Wraps sea::SeaDriver. */
 std::unique_ptr<Backend> makeSeaOneshot();
 
-/** Section 5/6's proposal: a single-PAL SLAUNCH campaign under the
- *  recommended-hardware executive (standalone counterpart of the
- *  native path inside ExecutionService). */
+/** Section 5/6's proposal: a one-request SLAUNCH campaign under a
+ *  fresh recommended-hardware executive, run by the same engine as
+ *  ExecutionService's native path (ExecutionService::runCampaign). */
 std::unique_ptr<Backend> makeRecService();
 
 /** SGX-style process enclave: ECREATE/EADD/EINIT launch, ECALL/OCALL

@@ -1,14 +1,16 @@
 /**
  * @file
- * The rec-service backend: a standalone single-request SLAUNCH campaign.
+ * The rec-service backend: a one-request SLAUNCH campaign.
  *
- * Inside ExecutionService this execution model is the *native* path --
- * submitted requests with backend "" or "rec-service" join the shared
- * scheduler campaign and its persistent executive. This standalone
- * adapter exists for direct registry users (the backend-matrix bench,
- * one-off comparisons): it brings up a fresh executive on the given
- * machine and runs one program to completion under the preemption
- * timer, so all five zoo members answer run() uniformly.
+ * The campaign itself is ExecutionService::runCampaign, the engine the
+ * service's own drains run for requests with backend "" or
+ * "rec-service". This adapter serves direct registry users (the
+ * backend-matrix bench, the leakage audit): it brings up a fresh
+ * executive on the given machine, runs the campaign with the service's
+ * default quantum and legacy core, and adds what only a standalone run
+ * reports -- the reconstructed phase breakdown, the preemption count,
+ * the sePCR bank size and the quote cost -- so all five zoo members
+ * answer run() uniformly.
  */
 
 #include "backend/backends.hh"
@@ -16,8 +18,7 @@
 #include <algorithm>
 
 #include "backend/registry.hh"
-#include "crypto/sha1.hh"
-#include "rec/scheduler.hh"
+#include "sea/service.hh"
 
 namespace mintcb::backend
 {
@@ -47,117 +48,39 @@ class RecServiceBackend final : public Backend
     run(machine::Machine &machine, const sea::PalRequest &request,
         CpuId cpu) const override
     {
-        rec::SecureExecutive exec(machine, /*sepcr_count=*/8);
-        // One CPU stays legacy (the "OS core"); the campaign schedules
-        // the PAL over the rest, matching the service defaults.
-        rec::OsScheduler sched(exec, Duration::millis(1),
-                               /*legacy_cpus=*/1);
-
-        sea::ExecutionReport report;
-        report.palName = request.pal.name();
-        report.backend = defaultBackendName;
-        const TimePoint t0 = machine.now();
-        report.submittedAt = t0;
-
-        const Duration compute =
-            request.slicedCompute > Duration::zero()
-                ? request.slicedCompute
-                : Duration::millis(1);
-
-        struct Slot
-        {
-            TimePoint startedAt;
-            bool started = false;
-            Bytes output;
-        } slot;
-
-        rec::PalProgram prog;
-        prog.name = request.pal.name();
-        prog.codeBytes = request.pal.code().size();
-        prog.dataPages = request.dataPages;
-        prog.totalCompute = compute;
-        prog.priority = request.priority;
-        prog.deadline = request.deadline;
-        prog.wantQuote = request.wantQuote;
-        prog.stateStore = request.stateStore;
-        const Bytes input = request.input;
-        prog.onStart = [&machine, &slot,
-                        &input](rec::PalHooks &hooks) -> Status {
-            slot.started = true;
-            slot.startedAt = machine.cpu(hooks.cpu()).now();
-            return hooks.extend(crypto::Sha1::digestBytes(input));
-        };
-        const sea::SecureBody body = request.secureBody;
-        prog.onFinish = [&slot, &input,
-                         body](rec::PalHooks &hooks) -> Status {
-            if (body) {
-                auto out_bytes = body(hooks, input);
-                if (!out_bytes)
-                    return out_bytes.error();
-                slot.output = out_bytes.take();
-            }
-            return hooks.extend(crypto::Sha1::digestBytes(slot.output));
-        };
-
-        if (auto idx = sched.add(prog); !idx)
-            return idx.error();
-
-        bool have_completion = false;
-        rec::PalCompletion done;
-        sched.setCompletionHook(
-            [&done, &have_completion](const rec::PalCompletion &c) {
-                done = c;
-                have_completion = true;
-            });
-
-        auto stats = sched.runAll();
-        if (!stats)
-            return stats.error();
-        if (!have_completion)
-            return Error(Errc::failedPrecondition,
-                         "campaign finished without a completion");
-
-        report.status = done.result;
-        report.output = slot.output;
-        report.palMeasurement = done.measurement;
-        report.quote = done.quote;
-        report.quoted = done.quoted;
-        report.startedAt =
-            slot.started ? slot.startedAt : TimePoint(done.finishedAt);
-        report.finishedAt = TimePoint(done.finishedAt);
-        report.queueWait = report.startedAt - report.submittedAt;
-        report.total = report.finishedAt - report.startedAt;
-        report.launches = done.launches;
-        report.yields = done.yields;
-        report.cpu = done.cpu;
-        report.deadlineMet = done.deadlineMet;
+        (void)cpu; // the campaign places the PAL on a PAL-eligible core
+        const sea::ServiceConfig config;
+        rec::SecureExecutive exec(machine, config.sePcrs);
+        const sea::ExecutionService::Pending pending{request, 0,
+                                                     machine.now()};
+        auto campaign = sea::ExecutionService::runCampaign(
+            exec, config, {&pending}, /*shard_id=*/0);
+        if (!campaign)
+            return campaign.error();
+        sea::ExecutionReport report = std::move(campaign->reports.front());
+        const rec::RunStats &stats = campaign->stats;
 
         // Canonical phases. The campaign interleaves them, so the
         // breakdown is reconstructed: transitions are the measured
         // context-switch time, attestation is the post-SFREE tail
         // (sePCR quote), and launch is the remaining non-compute time
         // (first SLAUNCH measurement stream + state init).
-        report.phases.compute = compute;
-        report.phases.transition = stats->contextSwitchTime;
+        report.phases.transition = stats.contextSwitchTime;
         const Duration tail = machine.now() - report.finishedAt;
         report.phases.attestation =
-            done.quoted ? tail : Duration::zero();
-        const Duration residual = report.total - compute -
-                                  stats->contextSwitchTime;
+            report.quoted ? tail : Duration::zero();
+        const Duration residual = report.total - report.phases.compute -
+                                  stats.contextSwitchTime;
         report.phases.launch = std::max(Duration::zero(), residual);
 
-        sea::ReportSection &pre =
-            report.section(sea::Capability::preemptible);
-        pre.addCount("slaunches", done.launches);
-        pre.addCount("yields", done.yields);
-        pre.addCount("preemptions", done.preemptions);
+        report.section(sea::Capability::preemptible)
+            .addCount("preemptions", stats.completions.front().preemptions);
         report.section(sea::Capability::sePcr)
-            .addCount("sepcr_slots", 8);
-        if (done.quoted) {
+            .addCount("sepcr_slots", config.sePcrs);
+        if (report.quoted) {
             report.section(sea::Capability::attestation)
                 .addCost("sepcr_quote", report.phases.attestation);
         }
-        (void)cpu;
         return report;
     }
 };

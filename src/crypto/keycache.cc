@@ -25,8 +25,8 @@ namespace
 /**
  * Keys are deterministic functions of (label, bits), so a filesystem cache
  * is purely a wall-time optimization: every test process would otherwise
- * redo the same 2048-bit generation. A corrupt or stale file fails decode
- * and falls back to regeneration.
+ * redo the same 2048-bit generation. A corrupt, stale or CRT-less file
+ * fails the load and falls back to regeneration, which rewrites it.
  */
 std::string
 cachePath(const std::string &label, std::size_t bits)
@@ -49,8 +49,10 @@ loadFromDisk(const std::string &path, std::size_t bits, RsaPrivateKey &out)
     Bytes wire((std::istreambuf_iterator<char>(in)),
                std::istreambuf_iterator<char>());
     auto decoded = RsaPrivateKey::decode(wire);
-    if (!decoded.ok() || decoded->pub.n.bitLength() != bits)
+    if (!decoded.ok() || decoded->pub.n.bitLength() != bits ||
+        !decoded->hasCrt()) {
         return false;
+    }
     out = decoded.take();
     return true;
 }
@@ -93,16 +95,6 @@ cachedKey(const std::string &label, std::size_t bits)
     const std::string path = cachePath(label, bits);
     RsaPrivateKey loaded;
     if (loadFromDisk(path, bits, loaded)) {
-        // A cache hit must never pay for a prime search again. Entries
-        // written before the CRT fields existed (or with p/q but no
-        // dP/dQ/qInv) are augmented in place -- three modular
-        // reductions -- and re-stored in the full layout so the next
-        // process gets the fast form directly.
-        if (!loaded.hasCrt()) {
-            loaded.augmentCrt();
-            if (loaded.hasCrt())
-                storeToDisk(path, loaded);
-        }
         auto [inserted, _] = cache.emplace(key, std::move(loaded));
         return inserted->second;
     }

@@ -105,38 +105,21 @@ RsaPrivateKey::hasCrt() const
            !qInv.isZero();
 }
 
-void
-RsaPrivateKey::augmentCrt()
-{
-    if (hasCrt() || p.isZero() || q.isZero())
-        return;
-    dP = d % p.subU64(1);
-    dQ = d % q.subU64(1);
-    qInv = q.modInverse(p);
-}
-
 Result<RsaPrivateKey>
 RsaPrivateKey::decode(const Bytes &wire)
 {
     ByteReader r(wire);
     RsaPrivateKey key;
-    BigNum *mandatory[] = {&key.pub.n, &key.pub.e, &key.d};
-    for (BigNum *field : mandatory) {
+    BigNum *fields[] = {&key.pub.n, &key.pub.e, &key.d,  &key.p,
+                        &key.q,     &key.dP,    &key.dQ, &key.qInv};
+    for (BigNum *field : fields) {
+        if (r.atEnd())
+            return Error(Errc::invalidArgument,
+                         "RSA private key has fewer than eight fields");
         auto bytes = r.lengthPrefixed();
         if (!bytes)
             return bytes.error();
         *field = BigNum::fromBytesBE(*bytes);
-    }
-    // Legacy CRT-less keys stop here; the full layout carries p, q and
-    // the three CRT values.
-    if (!r.atEnd()) {
-        BigNum *crt[] = {&key.p, &key.q, &key.dP, &key.dQ, &key.qInv};
-        for (BigNum *field : crt) {
-            auto bytes = r.lengthPrefixed();
-            if (!bytes)
-                return bytes.error();
-            *field = BigNum::fromBytesBE(*bytes);
-        }
     }
     if (!r.atEnd())
         return Error(Errc::invalidArgument, "trailing bytes in RSA key");
@@ -194,8 +177,9 @@ BigNum
 rsaPrivateOp(const RsaPrivateKey &key, const BigNum &c)
 {
     assert(c < key.pub.n);
-    // Keys without CRT parameters (legacy cache entries, imported d-only
-    // keys) take the full-width path; the result is identical.
+    // Keys without CRT parameters (d-only keys, such as the plain-modexp
+    // reference the crypto micro-bench times CRT against) take the
+    // full-width path; the result is identical.
     if (!key.hasCrt())
         return c.modExp(key.d, key.pub.n);
     // Garner's CRT recombination: ~4x faster than a full-width modexp.

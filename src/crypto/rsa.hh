@@ -58,20 +58,12 @@ struct RsaPrivateKey
     /** True when every CRT parameter is present (fast private op). */
     bool hasCrt() const;
 
-    /**
-     * Fill in missing CRT parameters from d/p/q with three cheap
-     * modular reductions -- never a prime search. A key without its
-     * factorization (p or q absent) is returned unchanged and keeps
-     * working through the plain-modExp fallback in rsaPrivateOp.
-     */
-    void augmentCrt();
-
     /** Wire encoding for the process-wide key cache (always the full
      *  eight-field layout). */
     Bytes encode() const;
 
-    /** Decode either the full eight-field layout or the legacy
-     *  three-field (n, e, d) layout of CRT-less imported keys. */
+    /** Decode the eight-field layout encode() writes; a wire with
+     *  fewer fields is refused with invalidArgument. */
     static Result<RsaPrivateKey> decode(const Bytes &wire);
 };
 

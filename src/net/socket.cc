@@ -11,7 +11,6 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -115,35 +114,6 @@ TcpStream::sendAll(const Bytes &data)
     return okStatus();
 }
 
-Status
-TcpStream::sendAllVec(iovec *iov, std::size_t count)
-{
-    std::size_t first = 0;
-    while (first < count) {
-        msghdr msg{};
-        msg.msg_iov = iov + first;
-        msg.msg_iovlen = count - first;
-        const ssize_t sent = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
-        if (sent < 0) {
-            if (errno == EINTR)
-                continue;
-            return sysError(Errc::unavailable, "sendmsg");
-        }
-        // Consume sent bytes across the iovec entries.
-        std::size_t n = static_cast<std::size_t>(sent);
-        while (first < count && n >= iov[first].iov_len) {
-            n -= iov[first].iov_len;
-            ++first;
-        }
-        if (first < count && n > 0) {
-            iov[first].iov_base =
-                static_cast<std::uint8_t *>(iov[first].iov_base) + n;
-            iov[first].iov_len -= n;
-        }
-    }
-    return okStatus();
-}
-
 Result<std::size_t>
 TcpStream::sendSome(const std::uint8_t *data, std::size_t len)
 {
@@ -224,28 +194,11 @@ TcpListener::accept()
 Status
 FrameChannel::send(FrameType type, const Bytes &payload)
 {
-    std::uint8_t header[frameHeaderBytes];
-    std::size_t at = 0;
-    for (int shift = 24; shift >= 0; shift -= 8)
-        header[at++] = static_cast<std::uint8_t>(frameMagic >> shift);
-    header[at++] = static_cast<std::uint8_t>(wireVersion >> 8);
-    header[at++] = static_cast<std::uint8_t>(wireVersion);
-    const std::uint16_t t = static_cast<std::uint16_t>(type);
-    header[at++] = static_cast<std::uint8_t>(t >> 8);
-    header[at++] = static_cast<std::uint8_t>(t);
-    const std::uint32_t len =
-        static_cast<std::uint32_t>(payload.size());
-    for (int shift = 24; shift >= 0; shift -= 8)
-        header[at++] = static_cast<std::uint8_t>(len >> shift);
-
-    iovec iov[2];
-    iov[0].iov_base = header;
-    iov[0].iov_len = frameHeaderBytes;
-    if (payload.empty())
-        return stream_.sendAllVec(iov, 1);
-    iov[1].iov_base = const_cast<std::uint8_t *>(payload.data());
-    iov[1].iov_len = payload.size();
-    return stream_.sendAllVec(iov, 2);
+    tx_.clear();
+    const std::size_t start = beginFrame(type, tx_);
+    tx_.insert(tx_.end(), payload.begin(), payload.end());
+    endFrame(tx_, start);
+    return stream_.sendAll(tx_);
 }
 
 Result<Frame>

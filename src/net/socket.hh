@@ -18,8 +18,6 @@
 #include "common/types.hh"
 #include "net/wire.hh"
 
-struct iovec; // <sys/uio.h>; only the implementation needs the layout
-
 namespace mintcb::net
 {
 
@@ -89,12 +87,6 @@ class TcpStream
      *  suppressed, a closed peer surfaces as an Error). */
     Status sendAll(const Bytes &data);
 
-    /** Scatter-gather sibling of sendAll: write every byte of @p count
-     *  buffers in as few syscalls as the kernel allows (sendmsg, so
-     *  SIGPIPE stays suppressed). The iovec array is consumed (entries
-     *  are adjusted across partial writes). */
-    Status sendAllVec(iovec *iov, std::size_t count);
-
     /** One non-blocking write attempt of @p len bytes from @p data.
      *  Returns the byte count (0 when the socket buffer is full); a
      *  closed peer surfaces as an Error. Reactor-side sibling of
@@ -152,9 +144,8 @@ class FrameChannel
         return send(frame.type, frame.payload);
     }
 
-    /** Scatter-gather send: a stack-allocated header and the payload
-     *  go out in one writev -- the payload is never copied into a
-     *  frame buffer. */
+    /** Frame @p payload with beginFrame/endFrame into the channel's
+     *  reusable send buffer and write it in one sendAll. */
     Status send(FrameType type, const Bytes &payload);
 
     /** Send pre-framed bytes (e.g. a batch of frames built in place
@@ -171,6 +162,7 @@ class FrameChannel
   private:
     TcpStream stream_;
     Bytes rx_;
+    Bytes tx_; //!< reused by send(); capacity persists across frames
 };
 
 } // namespace mintcb::net

@@ -2,11 +2,13 @@
  * @file
  * Multi-PAL execution service implementation.
  *
- * A drain is one scheduling campaign: every claimed PalRequest becomes
- * a rec::PalProgram, an OsScheduler multiplexes them over the
- * PAL-eligible cores in preemption-timer quanta (legacy work filling
- * every idle cycle), and the completion hook turns each PalCompletion
- * back into the caller's ExecutionReport. Afterwards the audit trail --
+ * A drain is one scheduling campaign (runCampaign): every claimed
+ * PalRequest becomes a rec::PalProgram, an OsScheduler multiplexes them
+ * over the PAL-eligible cores in preemption-timer quanta (legacy work
+ * filling every idle cycle), and the completion hook turns each
+ * PalCompletion back into the caller's ExecutionReport. The rec-service
+ * registry backend runs the same function for a single request.
+ * Afterwards the audit trail --
  * one TPM_Extend per report digest -- flows through the secure
  * transport session, batched into a single exchange when pipelining is
  * on.
@@ -201,7 +203,9 @@ ExecutionService::runBatch(const EngineRefs &refs,
     // deterministic. The remaining (native) requests then run as one
     // scheduler campaign.
     std::vector<std::size_t> native;
+    std::vector<const Pending *> native_requests;
     native.reserve(batch.size());
+    native_requests.reserve(batch.size());
     const backend::BackendRegistry &reg = registry();
     // First PAL-eligible core (cores below legacyCpus stay legacy).
     const CpuId backend_cpu =
@@ -212,6 +216,7 @@ ExecutionService::runBatch(const EngineRefs &refs,
         const Pending &p = batch[i];
         if (isNativeBackend(p.request.backend)) {
             native.push_back(i);
+            native_requests.push_back(&p);
             continue;
         }
         const backend::Backend *b = reg.find(p.request.backend);
@@ -234,42 +239,58 @@ ExecutionService::runBatch(const EngineRefs &refs,
         ++out.backendRouted;
     }
 
+    auto campaign =
+        runCampaign(refs.exec, config_, native_requests, shard_id);
+    if (!campaign)
+        return campaign.error();
+    for (std::size_t n = 0; n < native.size(); ++n)
+        out.reports[native[n]] = std::move(campaign->reports[n]);
+    out.preemptions = campaign->stats.preemptions;
+    out.slaunchRetries = campaign->stats.slaunchRetries;
+    out.legacyWorkUnits = campaign->stats.legacyWorkUnits;
+    return out;
+}
+
+Result<ExecutionService::Campaign>
+ExecutionService::runCampaign(rec::SecureExecutive &exec,
+                              const ServiceConfig &config,
+                              const std::vector<const Pending *> &requests,
+                              std::uint32_t shard_id)
+{
     /** Per-request state the scheduler callbacks fill in. Sized once up
      *  front so the captured pointers stay stable. */
     struct Slot
     {
-        std::uint64_t id = 0;
-        TimePoint submittedAt;
         TimePoint startedAt;
         bool started = false;
         Bytes output;
         Duration compute;
     };
-    std::vector<Slot> slots(native.size());
+    std::vector<Slot> slots(requests.size());
+    Campaign out;
+    out.reports.resize(requests.size());
 
-    rec::OsScheduler sched(refs.exec, config_.quantum,
-                           config_.legacyCpus);
-    for (std::size_t n = 0; n < native.size(); ++n) {
-        const Pending &p = batch[native[n]];
+    machine::Machine &m = exec.machine();
+    rec::OsScheduler sched(exec, config.quantum, config.legacyCpus);
+    for (std::size_t n = 0; n < requests.size(); ++n) {
+        const PalRequest &request = requests[n]->request;
         Slot *slot = &slots[n];
-        slot->id = p.id;
-        slot->submittedAt = p.submittedAt;
-        slot->compute = p.request.slicedCompute > Duration::zero()
-                            ? p.request.slicedCompute
-                            : config_.quantum;
+        slot->compute = request.slicedCompute > Duration::zero()
+                            ? request.slicedCompute
+                            : config.quantum;
 
         rec::PalProgram prog;
-        prog.name = p.request.pal.name();
-        prog.codeBytes = p.request.pal.code().size();
-        prog.dataPages = p.request.dataPages;
+        prog.name = request.pal.name();
+        prog.codeBytes = request.pal.code().size();
+        prog.dataPages = request.dataPages;
         prog.totalCompute = slot->compute;
-        prog.priority = p.request.priority;
-        prog.deadline = p.request.deadline;
-        prog.wantQuote = p.request.wantQuote;
+        prog.priority = request.priority;
+        prog.deadline = request.deadline;
+        prog.wantQuote = request.wantQuote;
+        prog.stateStore = request.stateStore;
 
         // First slice: bind the input to the PAL's attested identity.
-        machine::Machine &m = refs.machine;
-        const Bytes input = p.request.input;
+        const Bytes input = request.input;
         prog.onStart = [&m, slot, input](rec::PalHooks &hooks) -> Status {
             slot->started = true;
             slot->startedAt = m.cpu(hooks.cpu()).now();
@@ -278,7 +299,7 @@ ExecutionService::runBatch(const EngineRefs &refs,
 
         // Final slice: the application body runs inside the PAL's
         // protections, then the output joins the sePCR transcript.
-        const SecureBody body = p.request.secureBody;
+        const SecureBody body = request.secureBody;
         prog.onFinish = [slot, input,
                          body](rec::PalHooks &hooks) -> Status {
             if (body) {
@@ -294,43 +315,43 @@ ExecutionService::runBatch(const EngineRefs &refs,
             return idx.error();
     }
 
-    sched.setCompletionHook(
-        [&slots, &native, &reports = out.reports,
-         shard_id](const rec::PalCompletion &done) {
-            const Slot &slot = slots[done.seq];
-            ExecutionReport &r = reports[native[done.seq]];
-            r.requestId = slot.id;
-            r.palName = done.name;
-            r.backend = "rec-service";
-            r.status = done.result;
-            r.output = slot.output;
-            r.palMeasurement = done.measurement;
-            r.quote = done.quote;
-            r.quoted = done.quoted;
-            r.phases.compute = slot.compute;
-            r.section(Capability::preemptible)
-                .addCount("slaunches", done.launches);
-            r.section(Capability::preemptible)
-                .addCount("yields", done.yields);
-            r.submittedAt = slot.submittedAt;
-            r.startedAt = slot.started ? slot.startedAt
-                                       : TimePoint(done.finishedAt);
-            r.finishedAt = TimePoint(done.finishedAt);
-            r.queueWait = r.startedAt - r.submittedAt;
-            r.total = r.finishedAt - r.startedAt;
-            r.launches = done.launches;
-            r.yields = done.yields;
-            r.cpu = done.cpu;
-            r.shard = shard_id;
-            r.deadlineMet = done.deadlineMet;
-        });
+    sched.setCompletionHook([&slots, &requests, &reports = out.reports,
+                             shard_id](const rec::PalCompletion &done) {
+        const Slot &slot = slots[done.seq];
+        const Pending &p = *requests[done.seq];
+        ExecutionReport &r = reports[done.seq];
+        r.requestId = p.id;
+        r.palName = done.name;
+        r.backend = backend::defaultBackendName;
+        r.status = done.result;
+        r.output = slot.output;
+        r.palMeasurement = done.measurement;
+        r.quote = done.quote;
+        r.quoted = done.quoted;
+        r.phases.compute = slot.compute;
+        r.section(Capability::preemptible)
+            .addCount("slaunches", done.launches);
+        r.section(Capability::preemptible).addCount("yields", done.yields);
+        r.submittedAt = p.submittedAt;
+        r.startedAt =
+            slot.started ? slot.startedAt : TimePoint(done.finishedAt);
+        r.finishedAt = TimePoint(done.finishedAt);
+        r.queueWait = r.startedAt - r.submittedAt;
+        r.total = r.finishedAt - r.startedAt;
+        r.launches = done.launches;
+        r.yields = done.yields;
+        r.cpu = done.cpu;
+        r.shard = shard_id;
+        r.deadlineMet = done.deadlineMet;
+    });
 
     auto stats = sched.runAll();
     if (!stats)
         return stats.error();
-    out.preemptions = stats->preemptions;
-    out.slaunchRetries = stats->slaunchRetries;
-    out.legacyWorkUnits = stats->legacyWorkUnits;
+    if (stats->completions.size() != requests.size())
+        return Error(Errc::failedPrecondition,
+                     "campaign finished without every completion");
+    out.stats = stats.take();
     return out;
 }
 

@@ -350,7 +350,8 @@ class ExecutionService
     };
     PoolStats poolStats() const;
 
-  private:
+    /** A claimed request: what it asks for, plus the id and submit time
+     *  its report carries. */
     struct Pending
     {
         PalRequest request;
@@ -358,6 +359,29 @@ class ExecutionService
         TimePoint submittedAt;
     };
 
+    /** What one SLAUNCH campaign returns. */
+    struct Campaign
+    {
+        std::vector<ExecutionReport> reports; //!< in request order
+        rec::RunStats stats;                  //!< the scheduler's totals
+    };
+
+    /**
+     * Run @p requests as one SLAUNCH campaign on @p exec's machine: each
+     * becomes a rec::PalProgram, a rec::OsScheduler multiplexes them in
+     * @p config's quanta over the cores from config.legacyCpus up, and
+     * each PalCompletion fills the common report fields (shard
+     * @p shard_id).
+     * This is the only engine for the rec-service execution model: the
+     * service's drains run it, and so does the rec-service registry
+     * backend with a one-request campaign on a fresh executive.
+     */
+    static Result<Campaign>
+    runCampaign(rec::SecureExecutive &exec, const ServiceConfig &config,
+                const std::vector<const Pending *> &requests,
+                std::uint32_t shard_id);
+
+  private:
     /** One recorded transport milestone, replayed to the observers in
      *  deterministic shard order by the merge sequencer. */
     struct Milestone
@@ -406,8 +430,9 @@ class ExecutionService
 
     struct Shard; //!< owns one shard's machine/executive/session (.cc)
 
-    /** Schedule and run @p batch on @p refs; pure function of the
-     *  engine state (safe to run concurrently for distinct shards). */
+    /** Run @p batch on @p refs: registry-routed requests first, then the
+     *  native ones as one runCampaign; pure function of the engine state
+     *  (safe to run concurrently for distinct shards). */
     Result<BatchOutcome> runBatch(const EngineRefs &refs,
                                   const std::vector<Pending> &batch,
                                   std::uint32_t shard_id);

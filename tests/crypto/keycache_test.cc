@@ -97,50 +97,56 @@ diskPathFor(const std::string &label, std::size_t bits)
            toHex(Bytes(digest.begin(), digest.begin() + 16)) + ".bin";
 }
 
-TEST(KeyCache, LegacyDiskEntryAugmentedWithoutPrimeSearch)
+/** The key cachedKey derives for (@p label, @p bits) (mirrors
+ *  keycache.cc's seed derivation). */
+RsaPrivateKey
+deterministicKey(const std::string &label, std::size_t bits)
 {
-    // Plant a pre-CRT cache file (eight-field layout with the CRT
-    // values zeroed, as augment-era code would find after a partial
-    // write of old software) under a label this process has not
-    // touched, then ask the cache for it: the key must come back
-    // CRT-complete, the disk copy must be upgraded, and no prime
-    // generation may run -- a cache hit never pays for a prime search.
-    Rng rng(0x1eac);
-    RsaPrivateKey planted = rsaGenerate(rng, 512);
-    RsaPrivateKey legacy = planted;
-    legacy.dP = BigNum();
-    legacy.dQ = BigNum();
-    legacy.qInv = BigNum();
+    const Bytes digest = Sha256::digestBytes(asciiBytes(label));
+    std::uint64_t seed = static_cast<std::uint64_t>(bits);
+    for (int i = 0; i < 8; ++i)
+        seed = (seed << 8) ^ digest[i] ^ (seed >> 56);
+    Rng rng(seed);
+    return rsaGenerate(rng, bits);
+}
 
+TEST(KeyCache, CrtlessDiskEntryIsRegenerated)
+{
+    // Plant a CRT-less cache file (eight-field layout, dP/dQ/qInv
+    // zeroed) under a label this process has not touched. The cache
+    // must not serve it on the slow path: it discards the file,
+    // regenerates the same deterministic key, and re-stores it in the
+    // full layout.
     const std::string label =
-        "kc-legacy-" + std::to_string(::getpid());
+        "kc-crtless-" + std::to_string(::getpid());
+    const RsaPrivateKey expected = deterministicKey(label, 512);
+    RsaPrivateKey stale = expected;
+    stale.dP = BigNum();
+    stale.dQ = BigNum();
+    stale.qInv = BigNum();
+
     const std::string path = diskPathFor(label, 512);
     {
         std::ofstream out(path, std::ios::binary);
         ASSERT_TRUE(out.good());
-        const Bytes wire = legacy.encode();
+        const Bytes wire = stale.encode();
         out.write(reinterpret_cast<const char *>(wire.data()),
                   static_cast<std::streamsize>(wire.size()));
     }
 
     const std::uint64_t before = primeGenerationCount();
     const RsaPrivateKey &served = cachedKey(label, 512);
-    EXPECT_EQ(primeGenerationCount(), before)
-        << "cache hit re-ran prime generation";
-    EXPECT_EQ(served.pub.n, planted.pub.n);
+    EXPECT_GT(primeGenerationCount(), before)
+        << "CRT-less file was served instead of regenerated";
     EXPECT_TRUE(served.hasCrt());
-    EXPECT_EQ(served.dP, planted.dP);
-    EXPECT_EQ(served.dQ, planted.dQ);
-    EXPECT_EQ(served.qInv, planted.qInv);
+    EXPECT_EQ(served.encode(), expected.encode());
 
-    // The upgraded form was re-stored for the next process.
+    // The file now holds the full layout for the next process.
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good());
     const Bytes wire((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-    auto reloaded = RsaPrivateKey::decode(wire);
-    ASSERT_TRUE(reloaded.ok());
-    EXPECT_TRUE(reloaded->hasCrt());
+    EXPECT_EQ(wire, expected.encode());
     std::remove(path.c_str());
 }
 

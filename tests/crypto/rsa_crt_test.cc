@@ -3,8 +3,9 @@
  * RSA-CRT fast-path tests: the CRT private op must be observably
  * indistinguishable from the plain full-width modexp fallback --
  * byte-identical signatures, identical decrypts, identical raw private
- * ops over randomized keys and messages -- and keys without CRT hints
- * (legacy three-field wire entries) must keep working.
+ * ops over randomized keys and messages. Keys with their CRT hints
+ * stripped keep working in memory, but the wire carries only the full
+ * eight-field layout.
  */
 
 #include <gtest/gtest.h>
@@ -101,45 +102,29 @@ TEST(RsaCrt, Pkcs1InteropBothDirections)
     EXPECT_EQ(*via_plain, secret);
 }
 
-TEST(RsaCrt, LegacyThreeFieldWireDecodeStillWorks)
+TEST(RsaCrt, ThreeFieldWireIsRefused)
 {
-    // Entries written before the CRT fields existed carry only
-    // (n, e, d); decode must accept them and the key must sign through
-    // the fallback path.
+    // A CRT-less (n, e, d) wire is not a layout encode() writes; decode
+    // refuses it rather than handing out a key on the slow path.
     const RsaPrivateKey &full = cachedKey("rsa-crt-agree", 512);
     ByteWriter w;
     w.lengthPrefixed(full.pub.n.toBytesBE());
     w.lengthPrefixed(full.pub.e.toBytesBE());
     w.lengthPrefixed(full.d.toBytesBE());
     auto decoded = RsaPrivateKey::decode(w.take());
-    ASSERT_TRUE(decoded.ok());
-    EXPECT_FALSE(decoded->hasCrt());
-
-    const Bytes msg = asciiBytes("legacy");
-    EXPECT_EQ(rsaSignSha1(*decoded, msg), rsaSignSha1(full, msg));
-
-    // Without the factorization, augmentation must stay a no-op
-    // (never a prime search) and the key must keep working.
-    decoded->augmentCrt();
-    EXPECT_FALSE(decoded->hasCrt());
-    EXPECT_TRUE(rsaVerifySha1(full.pub, msg, rsaSignSha1(*decoded, msg)));
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.error().code, Errc::invalidArgument);
 }
 
-TEST(RsaCrt, AugmentRebuildsExactParameters)
+TEST(RsaCrt, GeneratedCrtParametersMatchTheirDefinitions)
 {
-    // augmentCrt from (d, p, q) must reproduce the generation-time
-    // CRT parameters exactly.
+    // dP, dQ and qInv are exactly d mod (p-1), d mod (q-1) and
+    // q^-1 mod p, whether the cache generated the key or loaded it.
     const RsaPrivateKey &full = cachedKey("rsa-crt-agree", 512);
-    RsaPrivateKey partial = full;
-    partial.dP = BigNum();
-    partial.dQ = BigNum();
-    partial.qInv = BigNum();
-    ASSERT_FALSE(partial.hasCrt());
-    partial.augmentCrt();
-    ASSERT_TRUE(partial.hasCrt());
-    EXPECT_EQ(partial.dP, full.dP);
-    EXPECT_EQ(partial.dQ, full.dQ);
-    EXPECT_EQ(partial.qInv, full.qInv);
+    ASSERT_TRUE(full.hasCrt());
+    EXPECT_EQ(full.dP, full.d % full.p.subU64(1));
+    EXPECT_EQ(full.dQ, full.d % full.q.subU64(1));
+    EXPECT_EQ(full.qInv, full.q.modInverse(full.p));
 }
 
 TEST(RsaCrt, EncodeDecodeRoundTripKeepsCrtFields)

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "common/hex.hh"
 #include "rec/scheduler.hh"
 #include "sea/service.hh"
+#include "sea/statestore.hh"
 #include "verify/race.hh"
 
 namespace mintcb::sea
@@ -288,6 +292,71 @@ TEST(ExecutionService, QuoteOnRequestIsHonored)
     ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->quoted);
     EXPECT_FALSE(report->quote.signature.empty());
+}
+
+/** In-memory sealed-state home: enough to see which store a body got. */
+class MapStateStore : public SealedStateStore
+{
+  public:
+    Result<Bytes>
+    loadSealedState(const std::string &name) override
+    {
+        auto it = values_.find(name);
+        if (it == values_.end())
+            return Error(Errc::notFound, name);
+        return it->second;
+    }
+    Status
+    storeSealedState(const std::string &name, const Bytes &sealed) override
+    {
+        values_[name] = sealed;
+        return okStatus();
+    }
+    bool
+    hasSealedState(const std::string &name) const override
+    {
+        return values_.count(name) != 0;
+    }
+
+  private:
+    std::map<std::string, Bytes> values_;
+};
+
+TEST(ExecutionService, StateStoreReachesTheSecureBody)
+{
+    // PalRequest::stateStore is promised to every execution path; the
+    // service's own campaign must hand it to the body through the
+    // hooks, inline and on a shard's worker thread alike.
+    for (std::uint32_t workers : {0u, 2u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        Machine m = Machine::forPlatform(PlatformId::recTestbed);
+        ServiceConfig config;
+        config.workers = workers;
+        ExecutionService svc(m, config);
+        MapStateStore store;
+
+        PalRequest req(servicePal("stateful"), asciiBytes("v1"));
+        req.slicedCompute = Duration::millis(1);
+        req.stateStore = &store;
+        req.secureBody = [&store](rec::PalHooks &hooks,
+                                  const Bytes &input) -> Result<Bytes> {
+            if (hooks.stateStore() != &store)
+                return Error(Errc::failedPrecondition,
+                             "body did not get the request's store");
+            if (auto s = hooks.stateStore()->storeSealedState("slot",
+                                                              input);
+                !s.ok()) {
+                return s.error();
+            }
+            return input;
+        };
+        auto report = svc.runOne(std::move(req));
+        ASSERT_TRUE(report.ok());
+        EXPECT_TRUE(report->status.ok()) << report->status.error().str();
+        auto stored = store.loadSealedState("slot");
+        ASSERT_TRUE(stored.ok());
+        EXPECT_EQ(*stored, asciiBytes("v1"));
+    }
 }
 
 /** Observer that submits a follow-up request from inside its
